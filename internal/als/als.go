@@ -10,7 +10,7 @@
 // initialised mode by mode from one rand source, and dead-column
 // reseeds draw from the same source, so two drivers with numerically
 // identical kernels produce identical trajectories (the property the
-// dist-vs-cpd and memoized-vs-plain equivalence tests pin down).
+// dist-vs-cpd and CPALSEngine-vs-CPALS equivalence tests pin down).
 package als
 
 import (
@@ -22,7 +22,6 @@ import (
 
 	"spblock/internal/la"
 	"spblock/internal/metrics"
-	"spblock/internal/sched"
 )
 
 // Kernel supplies the mode products for one decomposition. MTTKRP
@@ -34,18 +33,11 @@ type Kernel interface {
 	MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) error
 }
 
-// SweepStarter is an optional Kernel extension invoked once at the top
-// of every sweep with the current factors — the hook the memoized
-// order-3 path uses to compute its shared mode-3 contraction.
-type SweepStarter interface {
-	StartSweep(factors []*la.Matrix) error
-}
-
 // SweepRecoverer is an optional Kernel extension for fault-tolerant
-// kernels: when an MTTKRP dispatch (or StartSweep) fails mid-sweep, the
-// loop asks the kernel whether it has recovered — e.g. the distributed
-// runtime re-partitioning around a crashed rank — and, if so, restarts
-// the sweep with the current factors. attempt counts restarts of this
+// kernels: when an MTTKRP dispatch fails mid-sweep, the loop asks the
+// kernel whether it has recovered — e.g. the distributed runtime
+// re-partitioning around a crashed rank — and, if so, restarts the
+// sweep with the current factors. attempt counts restarts of this
 // sweep (0 on the first failure); returning false aborts with err as a
 // plain kernel failure would. Solve and normalisation errors are never
 // retried — they indicate numerical trouble, not a lost rank.
@@ -70,11 +62,11 @@ type Config struct {
 	// 0 (the default) disables sweep retry entirely.
 	MaxSweepRetries int
 	// Ctx cancels the decomposition between mode products: the loop
-	// checks it before StartSweep and before every MTTKRP dispatch, so a
-	// canceled run stops within one mode product rather than finishing
-	// the decomposition. Cancellation is never retryable (it is not a
-	// kernel fault); the partial result is returned with ctx's error.
-	// nil means never canceled.
+	// checks it before every MTTKRP dispatch, so a canceled run stops
+	// within one mode product rather than finishing the decomposition.
+	// Cancellation is never retryable (it is not a kernel fault); the
+	// partial result is returned with ctx's error. nil means never
+	// canceled.
 	Ctx context.Context
 }
 
@@ -85,11 +77,10 @@ type Result struct {
 	Fits      []float64
 	Iters     int
 	Converged bool
-	// Phases buckets the decomposition's wall time: MTTKRP dispatches
-	// (plus the memoized path's StartSweep contraction), the
-	// normal-equation solves, and the fit evaluation. Accumulated as the
-	// loop runs, so a partial result from a mid-sweep error still carries
-	// the time spent so far. Retried sweeps keep their aborted attempts'
+	// Phases buckets the decomposition's wall time: MTTKRP dispatches,
+	// the normal-equation solves, and the fit evaluation. Accumulated as
+	// the loop runs, so a partial result from a mid-sweep error still
+	// carries the time spent so far. Retried sweeps keep their aborted attempts'
 	// time — it was really spent.
 	Phases metrics.PhaseTimes
 	// SweepRetries counts sweeps restarted through a SweepRecoverer
@@ -147,24 +138,11 @@ func Run(k Kernel, cfg Config) (*Result, error) {
 		outs[mode] = la.NewMatrix(dims[mode], r)
 	}
 
-	starter, _ := k.(SweepStarter)
 	recoverer, _ := k.(SweepRecoverer)
-	replanner, _ := k.(sched.Replanner)
 	// runSweep executes one full ALS sweep against the current factors,
-	// reporting the failing mode (-1 for StartSweep) and whether the
-	// error is a retryable kernel failure (solve errors are not).
+	// reporting the failing mode and whether the error is a retryable
+	// kernel failure (solve errors are not).
 	runSweep := func() (failedMode int, retryable bool, err error) {
-		if starter != nil {
-			if err := ctx.Err(); err != nil {
-				return -1, false, fmt.Errorf("%s: canceled: %w", pfx, err)
-			}
-			t0 := time.Now()
-			err := starter.StartSweep(res.Factors)
-			res.Phases.MTTKRPNS += time.Since(t0).Nanoseconds()
-			if err != nil {
-				return -1, true, err
-			}
-		}
 		for mode := 0; mode < n; mode++ {
 			if err := ctx.Err(); err != nil {
 				return mode, false, fmt.Errorf("%s: canceled before mode-%d product: %w", pfx, mode+1, err)
@@ -206,7 +184,7 @@ func Run(k Kernel, cfg Config) (*Result, error) {
 			grams[mode] = la.Gram(res.Factors[mode])
 			res.Phases.SolveNS += time.Since(t0).Nanoseconds()
 		}
-		return -1, true, nil
+		return 0, false, nil
 	}
 	prevFit := 0.0
 	for iter := 0; iter < cfg.MaxIters; iter++ {
@@ -239,17 +217,6 @@ func Run(k Kernel, cfg Config) (*Result, error) {
 			break
 		}
 		prevFit = fit
-		// Between-sweep replan hook (sched.Replanner): the decomposition
-		// will run at least one more sweep, so an adaptive kernel may
-		// re-cost its plan against the observed imbalance and swap layouts
-		// here — the only point where rebuilding executors cannot perturb
-		// an in-flight sweep. Never called after the final or converged
-		// sweep; a replan error aborts like a kernel failure.
-		if replanner != nil && iter+1 < cfg.MaxIters {
-			if err := replanner.ReplanSweep(iter); err != nil {
-				return res, fmt.Errorf("%s: replan after sweep %d: %w", pfx, iter+1, err)
-			}
-		}
 	}
 	return res, nil
 }

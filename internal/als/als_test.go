@@ -13,11 +13,9 @@ import (
 // denseKernel is a brute-force MTTKRP over an explicit dense tensor,
 // stored as nested index arithmetic over a flat value slice.
 type denseKernel struct {
-	dims []int
-	vals []float64
-	// sweepStarts counts StartSweep invocations when used as a starter.
-	sweepStarts int
-	failMode    int // MTTKRP on this mode errors; -1 disables
+	dims     []int
+	vals     []float64
+	failMode int // MTTKRP on this mode errors; -1 disables
 }
 
 func (k *denseKernel) Dims() []int { return k.dims }
@@ -49,14 +47,6 @@ func (k *denseKernel) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) err
 			row[q] += w
 		}
 	}
-	return nil
-}
-
-// startingKernel adds the SweepStarter extension.
-type startingKernel struct{ denseKernel }
-
-func (k *startingKernel) StartSweep([]*la.Matrix) error {
-	k.sweepStarts++
 	return nil
 }
 
@@ -143,18 +133,6 @@ func TestRunDeterministicTrajectory(t *testing.T) {
 		if a.Fits[i] != b.Fits[i] {
 			t.Fatalf("sweep %d: %v vs %v", i, a.Fits[i], b.Fits[i])
 		}
-	}
-}
-
-func TestRunStartSweepHook(t *testing.T) {
-	base, normX := rankOne([]int{4, 3, 2})
-	k := &startingKernel{denseKernel: *base}
-	res, err := Run(k, Config{Rank: 1, MaxIters: 5, Tol: 1e-15, Seed: 1, NormX: normX})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.sweepStarts != res.Iters {
-		t.Fatalf("StartSweep ran %d times over %d sweeps", k.sweepStarts, res.Iters)
 	}
 }
 
@@ -305,79 +283,6 @@ func TestSolveErrorsNeverRetried(t *testing.T) {
 	}
 }
 
-// replanningKernel adds the sched.Replanner extension.
-type replanningKernel struct {
-	denseKernel
-	calls []int
-	fail  bool
-}
-
-func (k *replanningKernel) ReplanSweep(sweep int) error {
-	k.calls = append(k.calls, sweep)
-	if k.fail {
-		return errors.New("injected replan failure")
-	}
-	return nil
-}
-
-// TestReplanHookBetweenSweeps pins the hook's contract: called exactly
-// once after every successful sweep that is not the last one — never
-// after the final (budget-exhausted) sweep, where no further sweep
-// could use the replanned layout.
-func TestReplanHookBetweenSweeps(t *testing.T) {
-	base, normX := rankOne([]int{5, 4, 3})
-	k := &replanningKernel{denseKernel: *base}
-	res, err := Run(k, Config{Rank: 2, MaxIters: 4, Tol: 1e-300, Seed: 1, NormX: normX})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged {
-		t.Skip("converged exactly; the non-final-sweep count is not deterministic")
-	}
-	if len(k.calls) != res.Iters-1 {
-		t.Fatalf("replan called %d times over %d sweeps, want %d", len(k.calls), res.Iters, res.Iters-1)
-	}
-	for i, sweep := range k.calls {
-		if sweep != i {
-			t.Fatalf("replan call %d carried sweep %d", i, sweep)
-		}
-	}
-}
-
-// TestReplanHookNotCalledAfterConvergence: a converged sweep breaks the
-// loop before the hook — the decomposition is done, there is nothing to
-// replan for.
-func TestReplanHookNotCalledAfterConvergence(t *testing.T) {
-	base, normX := rankOne([]int{5, 4, 3})
-	k := &replanningKernel{denseKernel: *base}
-	res, err := Run(k, Config{Rank: 1, MaxIters: 50, Tol: 10, Seed: 1, NormX: normX})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tol 10 converges at the first eligible check (iter 1), so the only
-	// hook call is the one after sweep 0.
-	if !res.Converged || res.Iters != 2 {
-		t.Fatalf("expected convergence at iter 2, got %+v", res)
-	}
-	if len(k.calls) != 1 || k.calls[0] != 0 {
-		t.Fatalf("replan calls = %v, want [0]", k.calls)
-	}
-}
-
-// TestReplanErrorAborts: a replan failure aborts the decomposition like
-// a kernel failure, returning the partial result.
-func TestReplanErrorAborts(t *testing.T) {
-	base, normX := rankOne([]int{5, 4, 3})
-	k := &replanningKernel{denseKernel: *base, fail: true}
-	res, err := Run(k, Config{Rank: 2, MaxIters: 4, Tol: 1e-300, Seed: 1, NormX: normX})
-	if err == nil || !strings.Contains(err.Error(), "replan after sweep 1") {
-		t.Fatalf("err = %v, want a replan-after-sweep-1 failure", err)
-	}
-	if res == nil || res.Iters != 1 {
-		t.Fatalf("partial result = %+v, want the one completed sweep", res)
-	}
-}
-
 // cancellingKernel cancels its context after a fixed number of MTTKRP
 // dispatches and records whether the loop ever consulted the recoverer
 // afterwards — cancellation must be non-retryable.
@@ -436,18 +341,5 @@ func TestRunCtxPreCanceled(t *testing.T) {
 	}
 	if res == nil || res.Iters != 0 || len(res.Fits) != 0 {
 		t.Fatalf("pre-canceled run produced sweeps: %+v", res)
-	}
-}
-
-func TestRunCtxCancelBeforeStartSweep(t *testing.T) {
-	base, normX := rankOne([]int{4, 3, 3})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	k := &startingKernel{denseKernel: *base}
-	if _, err := Run(k, Config{Rank: 1, Seed: 1, NormX: normX, Ctx: ctx}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if k.sweepStarts != 0 {
-		t.Fatalf("StartSweep ran %d times on a canceled context", k.sweepStarts)
 	}
 }

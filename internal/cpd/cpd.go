@@ -15,13 +15,10 @@ import (
 	"math"
 
 	"spblock/internal/als"
-	"spblock/internal/autotune"
 	"spblock/internal/core"
 	"spblock/internal/engine"
 	"spblock/internal/la"
-	"spblock/internal/memo"
 	"spblock/internal/metrics"
-	"spblock/internal/sched"
 	"spblock/internal/tensor"
 )
 
@@ -38,29 +35,8 @@ type Options struct {
 	// mode-1 orientation and permuted for the other modes). Default:
 	// SPLATT.
 	Plan core.Plan
-	// Memoize shares the mode-3 contraction between the mode-1 and
-	// mode-2 products via internal/memo (the dimension-tree trade of
-	// the paper's related work): ~1/3 fewer flops per sweep at the cost
-	// of a P×R buffer (P = distinct (i,j) pairs). Mode 3 still uses the
-	// configured Plan.
-	Memoize bool
 	// Seed drives the random factor initialisation.
 	Seed int64
-	// Replan enables the between-sweep replan hook (sched.Replanner): a
-	// controller watches the engine's per-mode worker imbalance across
-	// sweeps and, when the ratchet fires, re-costs the plan space with
-	// autotune.Replan and rebuilds the engine on the winner — the
-	// "optional layout switch between sweeps" this library's autotuning
-	// layer exists for. Incompatible with Memoize (the memoized kernel
-	// folds two of the three modes outside the engine, so a rebuilt plan
-	// would only govern a third of the sweep).
-	Replan bool
-	// MaxReplans bounds how many times the replan controller may invoke
-	// the autotuner per decomposition. Default 1 when Replan is set.
-	MaxReplans int
-	// ReplanController overrides the replan controller's thresholds;
-	// zero fields take the internal/sched defaults.
-	ReplanController sched.ControllerConfig
 	// Ctx cancels the decomposition between mode products (see
 	// als.Config.Ctx): a canceled run returns the partial result with
 	// ctx's error within one mode product. nil means never canceled.
@@ -80,12 +56,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Plan.Grid == ([3]int{}) {
 		o.Plan.Grid = [3]int{1, 1, 1}
 	}
-	if o.Replan && o.Memoize {
-		return o, fmt.Errorf("cpd: Replan is incompatible with Memoize")
-	}
-	if o.Replan && o.MaxReplans <= 0 {
-		o.MaxReplans = 1
-	}
 	return o, nil
 }
 
@@ -100,13 +70,9 @@ type Result struct {
 	// Phases buckets the decomposition's wall time by phase (MTTKRP vs
 	// solve vs fit) — see metrics.PhaseTimes.
 	Phases metrics.PhaseTimes
-	// Plan is the plan the final sweeps ran on — Options.Plan with
-	// defaults applied, updated if between-sweep replanning switched
-	// layouts.
+	// Plan is the plan the sweeps ran on: Options.Plan with defaults
+	// applied (CPALS), or the engine's plan (CPALSEngine).
 	Plan core.Plan
-	// Replans counts the replan controller's autotuner invocations
-	// (0 when Options.Replan is off or the controller never fired).
-	Replans int
 }
 
 // Fit returns the final fit, or 0 before any sweep ran.
@@ -130,193 +96,27 @@ func (k *engineKernel) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) er
 	return k.eng.Run(mode, [3]*la.Matrix{factors[0], factors[1], factors[2]}, out)
 }
 
-// memoKernel folds modes 1-2 from the shared mode-3 contraction
-// (refreshed once per sweep via StartSweep); mode 3 still runs through
-// the configured engine plan.
-type memoKernel struct {
-	engineKernel
-	memo *memo.Engine
-}
-
-func (k *memoKernel) StartSweep(factors []*la.Matrix) error {
-	return k.memo.ComputeS(factors[2])
-}
-
-func (k *memoKernel) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) error {
-	switch mode {
-	case 0:
-		return k.memo.FoldMode1(factors[1], out)
-	case 1:
-		return k.memo.FoldMode2(factors[0], out)
-	}
-	return k.engineKernel.MTTKRP(mode, factors, out)
-}
-
-// replanKernel wraps engineKernel with the between-sweep replan loop:
-// als.Run calls ReplanSweep after every successful non-final sweep, a
-// controller ratchets on the engine's observed worker imbalance, and a
-// fired ratchet asks autotune.Replan for a cheaper (method, grid,
-// strip, sched) combination under that imbalance. A changed plan
-// rebuilds the multi-mode engine — legal exactly here, between sweeps,
-// where no executor is mid-Run.
-type replanKernel struct {
-	engineKernel
-	t       *tensor.COO
-	rank    int
-	plan    core.Plan
-	cfg     sched.ControllerConfig
-	ctrl    *sched.Controller
-	prev    [3][]int64
-	max     int
-	seed    int64
-	replans int
-}
-
-func newReplanKernel(t *tensor.COO, eng *engine.MultiModeExecutor, opts Options) *replanKernel {
-	k := &replanKernel{
-		engineKernel: engineKernel{dims: t.Dims[:], eng: eng},
-		t:            t,
-		rank:         opts.Rank,
-		plan:         opts.Plan,
-		cfg:          opts.ReplanController,
-		ctrl:         sched.NewController(opts.ReplanController),
-		max:          opts.MaxReplans,
-		seed:         opts.Seed,
-	}
-	k.sizeWindows()
-	return k
-}
-
-// sizeWindows re-bases the per-mode imbalance windows against the
-// current engine's collectors (fresh collectors start at zero, so fresh
-// zero baselines are exact).
-func (k *replanKernel) sizeWindows() {
-	for mode := 0; mode < 3; mode++ {
-		met, err := k.eng.Metrics(mode)
-		if err != nil {
-			k.prev[mode] = nil
-			continue
-		}
-		k.prev[mode] = make([]int64, met.Workers())
-	}
-}
-
-// ReplanSweep implements sched.Replanner.
-func (k *replanKernel) ReplanSweep(sweep int) error {
-	if k.replans >= k.max {
-		return nil
-	}
-	// The observation is the worst per-mode imbalance this sweep: each
-	// mode has its own executor and the sweep is only as balanced as its
-	// most skewed mode product.
-	imb := 1.0
-	for mode := 0; mode < 3; mode++ {
-		met, err := k.eng.Metrics(mode)
-		if err != nil {
-			return err
-		}
-		if v := met.WindowImbalance(k.prev[mode]); v > imb {
-			imb = v
-		}
-	}
-	if !k.ctrl.Observe(imb) {
-		return nil
-	}
-	k.replans++
-	// Re-arm the one-way ratchet so a later window of sustained
-	// imbalance can spend the remaining replan budget.
-	k.ctrl = sched.NewController(k.cfg)
-	res, err := autotune.Replan(k.t, k.rank, k.plan, imb, autotune.Options{Seed: k.seed, Workers: k.plan.Workers})
-	if err != nil {
-		return err
-	}
-	if res.Plan.String() == k.plan.String() {
-		return nil
-	}
-	eng, err := engine.NewMultiModeExecutor(k.t, res.Plan)
-	if err != nil {
-		return err
-	}
-	k.eng, k.plan = eng, res.Plan
-	k.sizeWindows()
-	return nil
-}
-
 // CPALS decomposes t with alternating least squares. The sweep loop
-// itself lives in internal/als; this driver only assembles the kernel.
+// itself lives in internal/als; this driver only builds the engine.
 func CPALS(t *tensor.COO, opts Options) (*Result, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-
-	var memoEng *memo.Engine
-	if opts.Memoize {
-		var err error
-		memoEng, err = memo.NewEngine(t)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	// Build the engine once per decomposition: each mode's permuted
 	// executor is constructed a single time and its pooled workspace is
-	// reused by every sweep. The memoized path folds modes 1-2 from the
-	// memo buffer, so it only needs the mode-3 executor.
-	modes := []int{0, 1, 2}
-	if memoEng != nil {
-		modes = []int{2}
-	}
-	eng, err := engine.NewMultiModeExecutor(t, opts.Plan, modes...)
+	// reused by every sweep.
+	eng, err := engine.NewMultiModeExecutor(t, opts.Plan)
 	if err != nil {
 		return nil, err
 	}
-
-	ek := engineKernel{dims: t.Dims[:], eng: eng}
-	var k als.Kernel = &ek
-	var rk *replanKernel
-	switch {
-	case memoEng != nil:
-		k = &memoKernel{engineKernel: ek, memo: memoEng}
-	case opts.Replan:
-		rk = newReplanKernel(t, eng, opts)
-		k = rk
+	res, err := CPALSEngine(t, eng, opts)
+	if res != nil {
+		// The engine reports its grid clamped to the tensor's dims;
+		// report the plan the caller asked for.
+		res.Plan = opts.Plan
 	}
-	ares, aerr := als.Run(k, als.Config{
-		Rank:      opts.Rank,
-		MaxIters:  opts.MaxIters,
-		Tol:       opts.Tol,
-		Seed:      opts.Seed,
-		NormX:     math.Sqrt(t.NormSquared()),
-		ErrPrefix: "cpd",
-		Ctx:       opts.Ctx,
-	})
-	if ares == nil {
-		return nil, aerr
-	}
-	res := fromALS(ares, opts.Plan)
-	if rk != nil {
-		res.Plan = rk.plan
-		res.Replans = rk.replans
-	}
-	return res, aerr
-}
-
-// fromALS assembles the order-3 Result from the shared loop's result.
-func fromALS(ares *als.Result, plan core.Plan) *Result {
-	res := &Result{
-		Lambda:    ares.Lambda,
-		Fits:      ares.Fits,
-		Iters:     ares.Iters,
-		Converged: ares.Converged,
-		Phases:    ares.Phases,
-		Plan:      plan,
-	}
-	copy(res.Factors[:], ares.Factors)
-	return res
+	return res, err
 }
 
 // CPALSEngine decomposes t through a caller-supplied multi-mode engine
@@ -326,20 +126,12 @@ func fromALS(ares *als.Result, plan core.Plan) *Result {
 // have all three mode executors built; its plan (not Options.Plan)
 // selects the kernels, and the returned Result.Plan reports it from the
 // mode-0 executor (whose permutation is the identity, so the plan is in
-// the caller's orientation).
-//
-// Memoize and Replan are rejected: the memoized kernel folds two modes
-// outside the engine, and replanning rebuilds engines mid-run — either
-// would bypass or dangle the cached stack the caller is leasing. The
-// caller owns the engine's single-Run-per-mode exclusivity for the
-// whole call.
+// the caller's orientation). The caller owns the engine's
+// single-Run-per-mode exclusivity for the whole call.
 func CPALSEngine(t *tensor.COO, eng *engine.MultiModeExecutor, opts Options) (*Result, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
-	}
-	if opts.Memoize || opts.Replan {
-		return nil, fmt.Errorf("cpd: CPALSEngine does not support Memoize or Replan")
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -371,7 +163,16 @@ func CPALSEngine(t *tensor.COO, eng *engine.MultiModeExecutor, opts Options) (*R
 	if ares == nil {
 		return nil, aerr
 	}
-	return fromALS(ares, e0.Plan()), aerr
+	res := &Result{
+		Lambda:    ares.Lambda,
+		Fits:      ares.Fits,
+		Iters:     ares.Iters,
+		Converged: ares.Converged,
+		Phases:    ares.Phases,
+		Plan:      e0.Plan(),
+	}
+	copy(res.Factors[:], ares.Factors)
+	return res, aerr
 }
 
 // ReconstructDense materialises the fitted model as a dense tensor in a

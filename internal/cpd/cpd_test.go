@@ -10,7 +10,6 @@ import (
 	"spblock/internal/core"
 	"spblock/internal/engine"
 	"spblock/internal/la"
-	"spblock/internal/sched"
 	"spblock/internal/tensor"
 )
 
@@ -233,109 +232,6 @@ func TestLambdaPositiveAndSorted(t *testing.T) {
 	}
 }
 
-func TestMemoizedCPALSMatchesPlain(t *testing.T) {
-	// Memoization rearranges arithmetic but computes the same sweep:
-	// the fit trajectories must agree to float tolerance.
-	dims := tensor.Dims{10, 9, 8}
-	x := plantedTensor(11, dims, 3)
-	plain, err := CPALS(x, Options{Rank: 3, MaxIters: 12, Tol: 1e-14, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	memoized, err := CPALS(x, Options{Rank: 3, MaxIters: 12, Tol: 1e-14, Seed: 21, Memoize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Fits) != len(memoized.Fits) {
-		t.Fatalf("sweep counts differ: %d vs %d", len(plain.Fits), len(memoized.Fits))
-	}
-	for i := range plain.Fits {
-		if math.Abs(plain.Fits[i]-memoized.Fits[i]) > 1e-8 {
-			t.Fatalf("sweep %d: memoized fit %v vs plain %v", i, memoized.Fits[i], plain.Fits[i])
-		}
-	}
-}
-
-func TestMemoizedCPALSOnSparseTensor(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	dims := tensor.Dims{25, 20, 30}
-	x := tensor.NewCOO(dims, 600)
-	for p := 0; p < 600; p++ {
-		x.Append(
-			tensor.Index(rng.Intn(dims[0])),
-			tensor.Index(rng.Intn(dims[1])),
-			tensor.Index(rng.Intn(dims[2])),
-			rng.Float64()+0.2,
-		)
-	}
-	x.Dedup()
-	res, err := CPALS(x, Options{Rank: 6, MaxIters: 15, Seed: 23, Memoize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fit() <= 0 || math.IsNaN(res.Fit()) {
-		t.Fatalf("memoized decomposition broken: fit=%v", res.Fit())
-	}
-}
-
-// TestReplanFiresAndDecomposes forces the replan controller to its most
-// trigger-happy setting (any observation >= 1.0 fires after one sweep)
-// so the autotuner runs and the engine may be rebuilt mid-decomposition
-// — and the decomposition still converges to the planted structure.
-func TestReplanFiresAndDecomposes(t *testing.T) {
-	dims := tensor.Dims{8, 9, 10}
-	x := plantedTensor(5, dims, 2)
-	res, err := CPALS(x, Options{
-		Rank:             2,
-		MaxIters:         60,
-		Tol:              1e-10,
-		Seed:             4,
-		Plan:             core.Plan{Method: core.MethodSPLATT, Workers: 2},
-		Replan:           true,
-		MaxReplans:       1,
-		ReplanController: sched.ControllerConfig{PromoteAbove: 1.0, Patience: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Replans != 1 {
-		t.Fatalf("Replans = %d, want exactly the MaxReplans budget of 1", res.Replans)
-	}
-	if res.Plan.Workers != 2 {
-		t.Fatalf("replanned plan lost the worker count: %v", res.Plan)
-	}
-	if res.Fit() < 0.99 {
-		t.Fatalf("replanned decomposition fit %v, want >= 0.99", res.Fit())
-	}
-}
-
-// TestReplanQuietControllerNeverFires: with the default thresholds, a
-// tiny balanced problem should never trip a replan — the plan the
-// caller asked for is the plan the decomposition ends on.
-func TestReplanQuietControllerNeverFires(t *testing.T) {
-	x := plantedTensor(6, tensor.Dims{6, 6, 6}, 2)
-	want := core.Plan{Method: core.MethodSPLATT, Grid: [3]int{1, 1, 1}, Workers: 1}
-	res, err := CPALS(x, Options{Rank: 2, MaxIters: 10, Seed: 1, Plan: want, Replan: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A sequential executor always observes imbalance 1 < the default
-	// PromoteAbove, so the controller cannot fire.
-	if res.Replans != 0 {
-		t.Fatalf("Replans = %d on a sequential run, want 0", res.Replans)
-	}
-	if res.Plan.String() != want.String() {
-		t.Fatalf("plan changed without a replan: %v", res.Plan)
-	}
-}
-
-func TestReplanRejectsMemoize(t *testing.T) {
-	x := plantedTensor(7, tensor.Dims{4, 4, 4}, 1)
-	if _, err := CPALS(x, Options{Rank: 2, Replan: true, Memoize: true}); err == nil {
-		t.Fatal("Replan+Memoize accepted")
-	}
-}
-
 // TestCPALSEngineMatchesCPALS pins the caller-supplied-engine path: the
 // same tensor, seed and plan through a prebuilt engine must produce the
 // bit-identical trajectory CPALS produces when it builds its own —
@@ -389,16 +285,6 @@ func TestCPALSEngineValidation(t *testing.T) {
 	opts := Options{Rank: 2}
 	if _, err := CPALSEngine(x, nil, opts); err == nil {
 		t.Error("nil engine accepted")
-	}
-	bad := opts
-	bad.Memoize = true
-	if _, err := CPALSEngine(x, eng, bad); err == nil {
-		t.Error("Memoize accepted")
-	}
-	bad = opts
-	bad.Replan = true
-	if _, err := CPALSEngine(x, eng, bad); err == nil {
-		t.Error("Replan accepted")
 	}
 	other := plantedTensor(6, tensor.Dims{5, 5, 5}, 2)
 	if _, err := CPALSEngine(other, eng, opts); err == nil {

@@ -451,8 +451,8 @@ func (s Snapshot) RooflineFraction(m roofline.Machine) float64 {
 // CP-ALS run so "MTTKRP dominates the decomposition" (Sec. I) is a
 // measured statement, not an assumption.
 type PhaseTimes struct {
-	// MTTKRPNS is the total wall time of MTTKRP dispatches (including
-	// the memoized path's shared-contraction refresh), in nanoseconds.
+	// MTTKRPNS is the total wall time of MTTKRP dispatches, in
+	// nanoseconds.
 	MTTKRPNS int64 `json:"mttkrp_ns"`
 	// SolveNS is the total wall time of the Gram/Hadamard assembly, SPD
 	// solve, column normalisation and Gram refresh, in nanoseconds.

@@ -68,9 +68,9 @@ func slotFootprint(order, nnz, maxLocalDim int) int64 {
 // Engine runs MTTKRP products over a staged tensor with a bounded
 // working set, implementing als.Kernel so the shared CP-ALS sweep loop
 // drives it unchanged. Blocks flow through a depth-bounded pipeline:
-// decoder goroutines claim block indices from an atomic counter, read
-// and decode them into free slots, and hand them to the consuming Run
-// goroutine, which reorders them into flat block-id order (the order
+// decoder goroutines take a free slot, claim the next block index from
+// an atomic counter, read and decode the block into the slot, and hand
+// it to the consuming Run goroutine, which reorders them into flat block-id order (the order
 // that makes the output bit-identical to the in-memory blocked
 // executor), walks each with the pooled kernel walker, and recycles
 // the slot through the free list. Steady-state products perform no
@@ -346,6 +346,9 @@ func (e *Engine) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) error {
 			continue
 		}
 		e.ring[want%e.depth] = nil
+		if b.seq != want {
+			e.fail(outOfOrder(b.seq, want))
+		}
 		if !b.failed && !e.abort.Load() {
 			e.wk.Walk(&b.csf, factors, out)
 		}
@@ -358,9 +361,18 @@ func (e *Engine) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) error {
 	return e.runErr
 }
 
-// fail records the first decode error and stops further claims; the
+// outOfOrder reports a reorder-ring slot holding the wrong block.
+//
+//spblock:coldpath
+func outOfOrder(seq, want int) error {
+	return fmt.Errorf("ooc: reorder ring yielded block %d in place of block %d", seq, want)
+}
+
+// fail records the first pipeline error and stops further claims; the
 // pipeline still drains every remaining sequence slot so the run ends
 // without a hang.
+//
+//spblock:coldpath
 func (e *Engine) fail(err error) {
 	e.errMu.Lock()
 	if e.runErr == nil {
@@ -370,20 +382,28 @@ func (e *Engine) fail(err error) {
 	e.abort.Store(true)
 }
 
-// decodeLoop builds decoder w's prebuilt goroutine body: claim the
-// next block index, take a free slot, read + decode + build the CSF,
+// decodeLoop builds decoder w's prebuilt goroutine body: take a free
+// slot, claim the next block index, read + decode + build the CSF,
 // hand the slot to the consumer. Busy time (read+decode only, not
 // backpressure waits) goes to the decoder's prefetch bucket.
+//
+// The slot comes before the claim: every claimed index then holds one
+// of the depth slots until the consumer walks it, so the indices in
+// flight stay within [want, want+depth) and each lands in its own ring
+// position. Claiming first would let a decoder hold index i while it
+// waits for a slot, and the other decoders could fill block i+depth
+// into ring[i%depth] ahead of it.
 func (e *Engine) decodeLoop(w int) func() {
 	return func() {
 		defer e.wg.Done()
 		nb := int64(len(e.man.Blocks))
 		for {
+			b := <-e.freec
 			i := e.next.Add(1) - 1
 			if i >= nb {
+				e.freec <- b
 				return
 			}
-			b := <-e.freec
 			b.seq = int(i)
 			if e.abort.Load() {
 				b.failed = true

@@ -1,9 +1,8 @@
 // Package server implements spblockd, a long-running decomposition
 // service over the library's execution stack: clients upload .tns
 // tensors and submit MTTKRP / CP-ALS / CP-APR jobs against them over
-// HTTP. Its core is an executor cache keyed by tensor fingerprint —
-// the whole-engine generalisation of internal/memo's storage-for-time
-// trade: the expensive per-mode preprocessing (permutation, CSF and
+// HTTP. Its core is an executor cache keyed by tensor fingerprint, a
+// storage-for-time trade: the expensive per-mode preprocessing (permutation, CSF and
 // block builds, workspace sizing) is paid once per distinct tensor and
 // reused by every job any tenant submits for it, with exclusive leases
 // serialising jobs on one stack because pooled workspaces are

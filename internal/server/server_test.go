@@ -316,6 +316,9 @@ func TestConcurrentCPALSClientsShareExecutor(t *testing.T) {
 	if got := metricValue(t, m, `spblockd_jobs_total{outcome="done"}`); got != clients {
 		t.Errorf("done jobs = %d, want %d", got, clients)
 	}
+	if strings.Contains(m, "spblockd_comm_") {
+		t.Errorf("scrape publishes spblockd_comm_ series no job can set:\n%s", m)
+	}
 }
 
 // TestJobTimeoutCancelsMidSweep pins the cancel path: a CP-ALS job
