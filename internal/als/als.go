@@ -1,16 +1,21 @@
-// Package als holds the single CP-ALS sweep loop shared by every
-// decomposition driver in the repo (cpd.CPALS, cpd.CPALSN, dist.CPALS).
-// The loop — random factor init, per-mode MTTKRP dispatch, Gram /
-// Hadamard normal-equation solve, lambda normalisation, fit and
-// convergence — is identical across the shared-memory order-3, order-N
-// and distributed paths; only the MTTKRP kernel differs, so the kernel
-// is the interface and everything else lives here exactly once.
+// Package als holds the one CP-ALS driver in the repo: Run, the sweep
+// loop every decomposition goes through, and Result, the one result
+// type it returns. The loop — random factor init, per-mode MTTKRP
+// dispatch, Gram / Hadamard normal-equation solve, lambda
+// normalisation, fit and convergence — is identical across the
+// shared-memory order-3, order-N, out-of-core and distributed paths;
+// only the MTTKRP kernel differs, so the kernel is the interface and
+// everything else lives here exactly once. cpd.CPALS and cpd.CPALSN
+// build an in-memory engine and call Run on it, spblockd calls Run on
+// its cached engine, an ooc.Engine is itself a Kernel, and dist.CPALS
+// wraps the distributed runtime in one.
 //
 // The random number stream is part of the contract: factors are
 // initialised mode by mode from one rand source, and dead-column
-// reseeds draw from the same source, so two drivers with numerically
-// identical kernels produce identical trajectories (the property the
-// dist-vs-cpd and CPALSEngine-vs-CPALS equivalence tests pin down).
+// reseeds draw from the same source, so two kernels that are
+// numerically identical produce identical trajectories (the property
+// the dist-vs-cpd, cached-engine-vs-CPALS and out-of-core-vs-CPALSN
+// equivalence tests pin down).
 package als
 
 import (
@@ -86,6 +91,14 @@ type Result struct {
 	// SweepRetries counts sweeps restarted through a SweepRecoverer
 	// after a kernel failure (0 on a healthy run).
 	SweepRetries int
+}
+
+// Fit returns the final fit, or 0 before any sweep ran.
+func (r *Result) Fit() float64 {
+	if len(r.Fits) == 0 {
+		return 0
+	}
+	return r.Fits[len(r.Fits)-1]
 }
 
 // Run executes CP-ALS sweeps over k until convergence or MaxIters. On a

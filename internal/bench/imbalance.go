@@ -20,8 +20,8 @@ const (
 )
 
 // imbalanceWarmRuns is how many untimed runs each executor gets before
-// the timed window. The adaptive controller needs DefaultPatience
-// consecutive observations above DefaultPromoteAbove before it promotes
+// the timed window. The adaptive controller needs sched.Patience
+// consecutive observations above sched.PromoteAbove before it promotes
 // to the stealing layout, so the warm-up must cover comfortably more
 // than patience runs for the timed window to see the promoted executor.
 const imbalanceWarmRuns = 8

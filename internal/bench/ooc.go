@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 
+	"spblock/internal/als"
 	"spblock/internal/cpd"
 	"spblock/internal/gen"
 	"spblock/internal/nmode"
@@ -95,7 +96,7 @@ func OOC(cfg Config) (*Table, error) {
 
 	opts := cpd.NOptions{Rank: rank, MaxIters: iters, Tol: 1e-12, Seed: cfg.Seed,
 		Kernel: nmode.Options{Grid: grid, Workers: cfg.Workers}}
-	var want *cpd.NResult
+	var want *als.Result
 	memSec := TimeBest(1, func() {
 		want, err = cpd.CPALSN(x, opts)
 	})
@@ -116,9 +117,10 @@ func OOC(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var got *cpd.NResult
+		var got *als.Result
 		sec := TimeBest(1, func() {
-			got, err = cpd.CPALSOOC(e, cpd.OOCOptions{Rank: rank, MaxIters: iters, Tol: 1e-12, Seed: cfg.Seed})
+			got, err = als.Run(e, als.Config{Rank: rank, MaxIters: iters, Tol: 1e-12, Seed: cfg.Seed,
+				NormX: math.Sqrt(e.NormSq()), ErrPrefix: "cpd"})
 		})
 		if err != nil {
 			e.Close()
@@ -155,7 +157,7 @@ func OOC(cfg Config) (*Table, error) {
 			fmt.Sprintf("%.1f%%", ioFrac*100),
 			fmt.Sprintf("%.1f", float64(prefetchNS)/1e6),
 			fmt.Sprintf("%.1f", float64(overlapNS)/1e6),
-			fmt.Sprintf("%.6f", got.Fits[len(got.Fits)-1]),
+			fmt.Sprintf("%.6f", got.Fit()),
 			"ok",
 		)
 	}
@@ -164,7 +166,7 @@ func OOC(cfg Config) (*Table, error) {
 
 // oocParity demands the streamed decomposition reproduced the
 // in-memory trajectory exactly — iteration count and every fit bit.
-func oocParity(want, got *cpd.NResult) error {
+func oocParity(want, got *als.Result) error {
 	if want.Iters != got.Iters || want.Converged != got.Converged {
 		return fmt.Errorf("trajectory diverged: iters %d/%d converged %v/%v",
 			want.Iters, got.Iters, want.Converged, got.Converged)

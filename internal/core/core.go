@@ -245,7 +245,7 @@ func (e *Executor) initSched() {
 		e.met.SetSched(sched.StealName)
 	case e.plan.Sched == sched.PolicyAdaptive && e.ws.q.CanSteal():
 		if e.ctrl == nil {
-			e.ctrl = sched.NewController(sched.ControllerConfig{})
+			e.ctrl = sched.NewController()
 		}
 		if e.ctrl.Promoted() {
 			e.ws.q.SetStealing(true)

@@ -4,9 +4,12 @@
 // expensive part of tensor decompositions" and runs 10–1000s of times
 // per decomposition).
 //
-// Each of the three mode products is served by a mode-permuted executor
-// from internal/core, so every blocking optimisation applies to all
-// three modes.
+// The sweep loop and the result type are internal/als's; this package
+// only builds the in-memory engine the loop runs on, one builder per
+// executor stack: CPALS serves each of the three mode products of an
+// order-3 tensor with a mode-permuted executor from internal/core (so
+// every blocking optimisation applies to all three modes), and CPALSN
+// serves order-N tensors from an engine.NEngine.
 package cpd
 
 import (
@@ -18,7 +21,6 @@ import (
 	"spblock/internal/core"
 	"spblock/internal/engine"
 	"spblock/internal/la"
-	"spblock/internal/metrics"
 	"spblock/internal/tensor"
 )
 
@@ -43,115 +45,43 @@ type Options struct {
 	Ctx context.Context
 }
 
-func (o Options) withDefaults() (Options, error) {
-	if o.Rank <= 0 {
-		return o, fmt.Errorf("cpd: rank must be positive, got %d", o.Rank)
-	}
-	if o.MaxIters <= 0 {
-		o.MaxIters = 50
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-5
-	}
-	if o.Plan.Grid == ([3]int{}) {
-		o.Plan.Grid = [3]int{1, 1, 1}
-	}
-	return o, nil
-}
-
-// Result holds a fitted Kruskal tensor: X ≈ Σ_r λ_r · A[:,r] ∘ B[:,r] ∘ C[:,r].
-type Result struct {
-	Lambda  []float64
-	Factors [3]*la.Matrix
-	// Fits records the model fit 1 − ‖X − M‖/‖X‖ after each sweep.
-	Fits      []float64
-	Iters     int
-	Converged bool
-	// Phases buckets the decomposition's wall time by phase (MTTKRP vs
-	// solve vs fit) — see metrics.PhaseTimes.
-	Phases metrics.PhaseTimes
-	// Plan is the plan the sweeps ran on: Options.Plan with defaults
-	// applied (CPALS), or the engine's plan (CPALSEngine).
-	Plan core.Plan
-}
-
-// Fit returns the final fit, or 0 before any sweep ran.
-func (r *Result) Fit() float64 {
-	if len(r.Fits) == 0 {
-		return 0
-	}
-	return r.Fits[len(r.Fits)-1]
-}
-
-// engineKernel adapts the order-3 multi-mode engine to the shared ALS
-// core.
+// engineKernel adapts an in-memory engine's per-mode Run to als.Kernel.
+// It is the one adapter behind CPALS, CPALSN and every caller that
+// reuses a cached engine (EngineKernel).
 type engineKernel struct {
 	dims []int
-	eng  *engine.MultiModeExecutor
+	run  func(mode int, factors []*la.Matrix, out *la.Matrix) error
 }
 
-func (k *engineKernel) Dims() []int { return k.dims }
+func (k engineKernel) Dims() []int { return k.dims }
 
-func (k *engineKernel) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) error {
-	return k.eng.Run(mode, [3]*la.Matrix{factors[0], factors[1], factors[2]}, out)
+func (k engineKernel) MTTKRP(mode int, factors []*la.Matrix, out *la.Matrix) error {
+	return k.run(mode, factors, out)
+}
+
+// EngineKernel serves every mode product of a decomposition from an
+// order-3 multi-mode engine, so als.Run can reuse one preprocessed
+// executor stack across many decompositions (spblockd's cache) instead
+// of paying the per-mode CSF/block builds on every job. The engine must
+// have all three mode executors built, and the caller owns its
+// single-Run-per-mode exclusivity for the whole decomposition.
+func EngineKernel(eng *engine.MultiModeExecutor) als.Kernel {
+	dims := eng.Dims()
+	return engineKernel{dims: dims[:], run: func(mode int, f []*la.Matrix, out *la.Matrix) error {
+		return eng.Run(mode, [3]*la.Matrix{f[0], f[1], f[2]}, out)
+	}}
 }
 
 // CPALS decomposes t with alternating least squares. The sweep loop
-// itself lives in internal/als; this driver only builds the engine.
-func CPALS(t *tensor.COO, opts Options) (*Result, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	// Build the engine once per decomposition: each mode's permuted
-	// executor is constructed a single time and its pooled workspace is
-	// reused by every sweep.
+// itself lives in internal/als; this driver only builds the engine,
+// once per decomposition: each mode's permuted executor is constructed
+// a single time and its pooled workspace is reused by every sweep.
+func CPALS(t *tensor.COO, opts Options) (*als.Result, error) {
 	eng, err := engine.NewMultiModeExecutor(t, opts.Plan)
 	if err != nil {
 		return nil, err
 	}
-	res, err := CPALSEngine(t, eng, opts)
-	if res != nil {
-		// The engine reports its grid clamped to the tensor's dims;
-		// report the plan the caller asked for.
-		res.Plan = opts.Plan
-	}
-	return res, err
-}
-
-// CPALSEngine decomposes t through a caller-supplied multi-mode engine
-// built over the same tensor — the path a serving cache uses to reuse
-// one preprocessed executor stack across many decompositions instead of
-// paying the per-mode CSF/block builds on every job. The engine must
-// have all three mode executors built; its plan (not Options.Plan)
-// selects the kernels, and the returned Result.Plan reports it from the
-// mode-0 executor (whose permutation is the identity, so the plan is in
-// the caller's orientation). The caller owns the engine's
-// single-Run-per-mode exclusivity for the whole call.
-func CPALSEngine(t *tensor.COO, eng *engine.MultiModeExecutor, opts Options) (*Result, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	if eng == nil {
-		return nil, fmt.Errorf("cpd: CPALSEngine needs a non-nil engine")
-	}
-	if eng.Dims() != t.Dims {
-		return nil, fmt.Errorf("cpd: engine dims %v do not match tensor dims %v", eng.Dims(), t.Dims)
-	}
-	e0, err := eng.Executor(0)
-	if err != nil {
-		return nil, fmt.Errorf("cpd: %w", err)
-	}
-	for mode := 1; mode < 3; mode++ {
-		if _, err := eng.Executor(mode); err != nil {
-			return nil, fmt.Errorf("cpd: %w", err)
-		}
-	}
-	ares, aerr := als.Run(&engineKernel{dims: t.Dims[:], eng: eng}, als.Config{
+	return als.Run(EngineKernel(eng), als.Config{
 		Rank:      opts.Rank,
 		MaxIters:  opts.MaxIters,
 		Tol:       opts.Tol,
@@ -160,25 +90,12 @@ func CPALSEngine(t *tensor.COO, eng *engine.MultiModeExecutor, opts Options) (*R
 		ErrPrefix: "cpd",
 		Ctx:       opts.Ctx,
 	})
-	if ares == nil {
-		return nil, aerr
-	}
-	res := &Result{
-		Lambda:    ares.Lambda,
-		Fits:      ares.Fits,
-		Iters:     ares.Iters,
-		Converged: ares.Converged,
-		Phases:    ares.Phases,
-		Plan:      e0.Plan(),
-	}
-	copy(res.Factors[:], ares.Factors)
-	return res, aerr
 }
 
 // ReconstructDense materialises the fitted model as a dense tensor in a
 // flat I*J*K slice (row-major i, j, k) — a test and example helper for
 // small shapes only.
-func ReconstructDense(res *Result, dims tensor.Dims) ([]float64, error) {
+func ReconstructDense(res *als.Result, dims tensor.Dims) ([]float64, error) {
 	if dims.Volume() > 16e6 {
 		return nil, fmt.Errorf("cpd: ReconstructDense refuses %v (too large)", dims)
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spblock/internal/als"
 	"spblock/internal/core"
 	"spblock/internal/engine"
 	"spblock/internal/la"
@@ -232,11 +233,12 @@ func TestLambdaPositiveAndSorted(t *testing.T) {
 	}
 }
 
-// TestCPALSEngineMatchesCPALS pins the caller-supplied-engine path: the
-// same tensor, seed and plan through a prebuilt engine must produce the
-// bit-identical trajectory CPALS produces when it builds its own —
-// the property that lets a serving cache substitute one for the other.
-func TestCPALSEngineMatchesCPALS(t *testing.T) {
+// TestEngineKernelMatchesCPALS pins the cached-engine path: the same
+// tensor, seed and plan through als.Run over a prebuilt engine, reused
+// for two decompositions, must produce the bit-identical trajectory
+// CPALS produces when it builds its own — the property that lets a
+// serving cache substitute one for the other.
+func TestEngineKernelMatchesCPALS(t *testing.T) {
 	x := plantedTensor(5, tensor.Dims{10, 9, 8}, 3)
 	opts := Options{
 		Rank: 3, MaxIters: 12, Tol: 1e-12, Seed: 7,
@@ -250,8 +252,10 @@ func TestCPALSEngineMatchesCPALS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := als.Config{Rank: opts.Rank, MaxIters: opts.MaxIters, Tol: opts.Tol, Seed: opts.Seed,
+		NormX: math.Sqrt(x.NormSquared()), ErrPrefix: "cpd"}
 	for trial := 0; trial < 2; trial++ { // the engine is reusable across jobs
-		got, err := CPALSEngine(x, eng, opts)
+		got, err := als.Run(EngineKernel(eng), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,32 +274,15 @@ func TestCPALSEngineMatchesCPALS(t *testing.T) {
 				}
 			}
 		}
-		if got.Plan.String() != want.Plan.String() {
-			t.Fatalf("trial %d: plan %v vs %v", trial, got.Plan, want.Plan)
-		}
 	}
-}
-
-func TestCPALSEngineValidation(t *testing.T) {
-	x := plantedTensor(5, tensor.Dims{6, 5, 4}, 2)
-	eng, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT})
+	// The mode-0 executor reports the plan in the caller's orientation
+	// (what spblockd returns with a cpals job).
+	e0, err := eng.Executor(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Rank: 2}
-	if _, err := CPALSEngine(x, nil, opts); err == nil {
-		t.Error("nil engine accepted")
-	}
-	other := plantedTensor(6, tensor.Dims{5, 5, 5}, 2)
-	if _, err := CPALSEngine(other, eng, opts); err == nil {
-		t.Error("dims mismatch accepted")
-	}
-	partial, err := engine.NewMultiModeExecutor(x, core.Plan{Method: core.MethodSPLATT}, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CPALSEngine(x, partial, opts); err == nil {
-		t.Error("engine missing mode 1 accepted")
+	if e0.Plan().String() != opts.Plan.String() {
+		t.Fatalf("mode-0 plan %v, want %v", e0.Plan(), opts.Plan)
 	}
 }
 
@@ -314,11 +301,11 @@ func TestCPALSCtxCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = CPALSEngine(x, eng, Options{Rank: 2, MaxIters: 20, Ctx: ctx})
+	res, err = als.Run(EngineKernel(eng), als.Config{Rank: 2, MaxIters: 20, Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("CPALSEngine err = %v, want context.Canceled", err)
+		t.Fatalf("cached-engine err = %v, want context.Canceled", err)
 	}
 	if res == nil || res.Iters != 0 {
-		t.Fatalf("canceled CPALSEngine ran sweeps: %+v", res)
+		t.Fatalf("canceled cached-engine run ran sweeps: %+v", res)
 	}
 }

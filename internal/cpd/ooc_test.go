@@ -39,7 +39,7 @@ func randSparseN(seed int64, dims []int, nnz int) *nmode.Tensor {
 	return x
 }
 
-func requireSameResult(t *testing.T, tag string, a, b *NResult) {
+func requireSameResult(t *testing.T, tag string, a, b *als.Result) {
 	t.Helper()
 	if a.Iters != b.Iters || a.Converged != b.Converged {
 		t.Fatalf("%s: trajectory diverged: iters %d/%d converged %v/%v",
@@ -65,12 +65,20 @@ func requireSameResult(t *testing.T, tag string, a, b *NResult) {
 	}
 }
 
-// TestCPALSOOCMatchesCPALSNOrder4 pins the end-to-end contract: a full
-// CP-ALS decomposition streamed at a 25% working-set budget is
+// streamedCPALS runs the shared sweep loop directly on an out-of-core
+// engine, with ‖X‖ from the staging pass (same summation order as
+// CPALSN).
+func streamedCPALS(e *ooc.Engine, rank, iters int, seed int64) (*als.Result, error) {
+	return als.Run(e, als.Config{Rank: rank, MaxIters: iters, Tol: 1e-12, Seed: seed,
+		NormX: math.Sqrt(e.NormSq()), ErrPrefix: "cpd"})
+}
+
+// TestStreamedCPALSMatchesCPALSNOrder4 pins the end-to-end contract: a
+// full CP-ALS decomposition streamed at a 25% working-set budget is
 // bit-identical — fits, lambdas, factors — to the in-memory engine
 // over the same tensor and grid (order 4 uses the generic N-mode
 // executors in both paths).
-func TestCPALSOOCMatchesCPALSNOrder4(t *testing.T) {
+func TestStreamedCPALSMatchesCPALSNOrder4(t *testing.T) {
 	dims := []int{9, 12, 7, 8}
 	grid := []int{2, 3, 2, 2}
 	x := randSparseN(11, dims, 800)
@@ -90,7 +98,7 @@ func TestCPALSOOCMatchesCPALSNOrder4(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	got, err := CPALSOOC(e, OOCOptions{Rank: 6, MaxIters: 10, Tol: 1e-12, Seed: 3})
+	got, err := streamedCPALS(e, 6, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +112,11 @@ func TestCPALSOOCMatchesCPALSNOrder4(t *testing.T) {
 	}
 }
 
-// TestCPALSOOCMatchesGenericOrder3 pins the order-3 equivalence
+// TestStreamedCPALSMatchesGenericOrder3 pins the order-3 equivalence
 // against the generic N-mode engine (the ooc path's in-memory
 // comparator — the order-3 fast path is a different kernel family and
 // is not expected to be bit-identical).
-func TestCPALSOOCMatchesGenericOrder3(t *testing.T) {
+func TestStreamedCPALSMatchesGenericOrder3(t *testing.T) {
 	dims := []int{15, 11, 13}
 	grid := []int{3, 2, 2}
 	x := randSparseN(13, dims, 900)
@@ -124,41 +132,19 @@ func TestCPALSOOCMatchesGenericOrder3(t *testing.T) {
 	}
 	cfg := als.Config{Rank: 5, MaxIters: 8, Tol: 1e-12, Seed: 9,
 		NormX: math.Sqrt(normX), ErrPrefix: "cpd"}
-	ares, err := als.Run(&nKernel{dims: x.Dims, eng: eng}, cfg)
+	want, err := als.Run(engineKernel{dims: x.Dims, run: eng.Run}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := &NResult{Lambda: ares.Lambda, Factors: ares.Factors, Fits: ares.Fits,
-		Iters: ares.Iters, Converged: ares.Converged}
 
 	e, err := ooc.Open(stage, ooc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	got, err := CPALSOOC(e, OOCOptions{Rank: 5, MaxIters: 8, Tol: 1e-12, Seed: 9})
+	got, err := streamedCPALS(e, 5, 8, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "order3", want, got)
-}
-
-func TestCPALSOOCValidation(t *testing.T) {
-	x := randSparseN(17, []int{6, 6, 6}, 60)
-	stage := stageForTest(t, x, []int{2, 2, 2})
-	e, err := ooc.Open(stage, ooc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if _, err := CPALSOOC(e, OOCOptions{Rank: 0}); err == nil {
-		t.Fatal("rank 0 accepted")
-	}
-	res, err := CPALSOOC(e, OOCOptions{Rank: 3, MaxIters: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iters != 2 || len(res.Fits) != 2 {
-		t.Fatalf("iters=%d fits=%d", res.Iters, len(res.Fits))
-	}
 }

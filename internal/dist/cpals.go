@@ -31,13 +31,12 @@ type CPOptions struct {
 	MaxSweepRetries int
 }
 
-// CPResult reports a distributed decomposition.
+// CPResult reports a distributed decomposition: the fitted model and
+// its sweep telemetry (als.Result; its Phases measure the in-process
+// simulation, not the modeled cluster time) plus the runtime's modeled
+// cost and fault telemetry.
 type CPResult struct {
-	Lambda    []float64
-	Factors   [3]*la.Matrix
-	Fits      []float64
-	Iters     int
-	Converged bool
+	als.Result
 	// ModeledSeconds accumulates the modeled parallel time of every
 	// distributed MTTKRP executed (3 per sweep) — the quantity a real
 	// cluster would spend in the kernel this paper optimises.
@@ -45,10 +44,6 @@ type CPResult struct {
 	// CommBytes accumulates point-to-point payload bytes across all
 	// MTTKRP calls.
 	CommBytes int64
-	// Phases buckets the driver-side wall time by phase (MTTKRP vs solve
-	// vs fit) — see metrics.PhaseTimes. The MTTKRP bucket measures the
-	// in-process simulation, not the modeled cluster time.
-	Phases metrics.PhaseTimes
 	// Comm carries the fault-tolerance telemetry: collective retries and
 	// timeouts, modeled backoff, crashes, sweep retries and degraded
 	// sweeps. All zero on a healthy run.
@@ -57,14 +52,6 @@ type CPResult struct {
 	// equal to the configured Ranks unless a crash forced a
 	// re-partition over the survivors.
 	SurvivingRanks int
-}
-
-// Fit returns the final fit, or 0 before any sweep ran.
-func (r *CPResult) Fit() float64 {
-	if len(r.Fits) == 0 {
-		return 0
-	}
-	return r.Fits[len(r.Fits)-1]
 }
 
 // distKernel adapts the distributed runtime to the shared ALS core:
@@ -172,9 +159,6 @@ func CPALS(t *tensor.COO, cfg Config, opts CPOptions) (*CPResult, error) {
 	if opts.MaxIters <= 0 {
 		opts.MaxIters = 20
 	}
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-5
-	}
 	r := opts.Rank
 	if opts.MaxSweepRetries <= 0 && cfg.Faults != nil {
 		opts.MaxSweepRetries = 3
@@ -221,12 +205,7 @@ func CPALS(t *tensor.COO, cfg Config, opts CPOptions) (*CPResult, error) {
 	if ares == nil {
 		return nil, aerr
 	}
-	res.Lambda = ares.Lambda
-	copy(res.Factors[:], ares.Factors)
-	res.Fits = ares.Fits
-	res.Iters = ares.Iters
-	res.Converged = ares.Converged
-	res.Phases = ares.Phases
+	res.Result = *ares
 	res.Comm.SweepRetries = ares.SweepRetries
 	res.SurvivingRanks = kernel.cfg.Ranks
 	if kernel.degradedAt >= 0 && ares.Iters > kernel.degradedAt {

@@ -1,9 +1,10 @@
 // Package engine is the shared execution layer between the mode-1
-// MTTKRP kernels of internal/core and the decomposition drivers
-// (cpd.CPALS, cpapr, dist.CPALS): it owns the mode-permutation
-// identity that serves all three mode products with one kernel family
-// (Sec. III-B — the three products are structurally identical) and
-// amortises the per-mode preprocessing across an entire decomposition.
+// MTTKRP kernels of internal/core and the decompositions built on them
+// (als.Run through cpd.CPALS, cpd.CPALSN and spblockd's cached stacks;
+// cpapr; dist.CPALS): it owns the mode-permutation identity that serves
+// all three mode products with one kernel family (Sec. III-B — the
+// three products are structurally identical) and amortises the
+// per-mode preprocessing across an entire decomposition.
 //
 // A MultiModeExecutor builds the requested mode-permuted executors
 // exactly once per tensor. The permuted views it feeds them are

@@ -490,16 +490,6 @@ type CommStats struct {
 	DegradedSweeps int `json:"degraded_sweeps"`
 }
 
-// Merge adds o's counters into c.
-func (c *CommStats) Merge(o CommStats) {
-	c.Retries += o.Retries
-	c.Timeouts += o.Timeouts
-	c.BackoffSec += o.BackoffSec
-	c.Crashes += o.Crashes
-	c.SweepRetries += o.SweepRetries
-	c.DegradedSweeps += o.DegradedSweeps
-}
-
 // Faulted reports whether any fault-tolerance machinery engaged.
 func (c CommStats) Faulted() bool {
 	return c != CommStats{}

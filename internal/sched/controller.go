@@ -16,43 +16,24 @@ package sched
 // what lets promotion stay on the allocation-free hot path: there is
 // exactly one transition, and both layouts were prebuilt for it.
 type Controller struct {
-	cfg      ControllerConfig
 	streak   int
 	promoted bool
 }
 
-// ControllerConfig tunes the promotion threshold. The zero value picks
-// the defaults below.
-type ControllerConfig struct {
-	// PromoteAbove is the imbalance ratio at or above which a run
-	// counts toward promotion. Default 1.25: the slowest worker runs
-	// 25% past the mean, i.e. a quarter of the parallel time is spent
-	// waiting on stragglers.
-	PromoteAbove float64
-	// Patience is how many consecutive runs must breach PromoteAbove
-	// before promoting. Default 3: one skewed run can be scheduling
-	// noise or a cold cache; three in a row is a workload property.
-	Patience int
-}
-
 const (
-	// DefaultPromoteAbove and DefaultPatience are the zero-value
-	// ControllerConfig thresholds.
-	DefaultPromoteAbove = 1.25
-	DefaultPatience     = 3
+	// PromoteAbove is the imbalance ratio at or above which a run
+	// counts toward promotion: the slowest worker runs 25% past the
+	// mean, i.e. a quarter of the parallel time is spent waiting on
+	// stragglers.
+	PromoteAbove = 1.25
+	// Patience is how many consecutive runs must breach PromoteAbove
+	// before promoting: one skewed run can be scheduling noise or a
+	// cold cache; three in a row is a workload property.
+	Patience = 3
 )
 
-// NewController returns a controller with cfg's zero fields filled
-// with the defaults.
-func NewController(cfg ControllerConfig) *Controller {
-	if cfg.PromoteAbove <= 0 {
-		cfg.PromoteAbove = DefaultPromoteAbove
-	}
-	if cfg.Patience <= 0 {
-		cfg.Patience = DefaultPatience
-	}
-	return &Controller{cfg: cfg}
-}
+// NewController returns a controller that has seen no runs.
+func NewController() *Controller { return &Controller{} }
 
 // Observe records one run's measured imbalance and reports whether the
 // executor should promote to stealing now. Returns true at most once
@@ -64,12 +45,12 @@ func (c *Controller) Observe(imbalance float64) bool {
 	if c.promoted {
 		return false
 	}
-	if imbalance >= c.cfg.PromoteAbove {
+	if imbalance >= PromoteAbove {
 		c.streak++
 	} else {
 		c.streak = 0
 	}
-	if c.streak >= c.cfg.Patience {
+	if c.streak >= Patience {
 		c.promoted = true
 		return true
 	}

@@ -6,16 +6,21 @@ import "testing"
 // imbalance spikes shorter than its patience window and fires exactly
 // once when the threshold holds.
 func TestControllerPromotesAfterPatience(t *testing.T) {
-	c := NewController(ControllerConfig{PromoteAbove: 1.25, Patience: 3})
-	// Two breaches, then a calm run: streak must reset.
-	for _, imb := range []float64{1.5, 1.5, 1.0} {
-		if c.Observe(imb) {
-			t.Fatalf("promoted on interrupted streak at imbalance %v", imb)
+	c := NewController()
+	// Patience-1 breaches, then a calm run: streak must reset.
+	for i := 0; i < Patience-1; i++ {
+		if c.Observe(1.5) {
+			t.Fatalf("promoted on interrupted streak after %d breaches", i+1)
 		}
 	}
-	// Three consecutive breaches: fires on the third.
-	if c.Observe(1.3) || c.Observe(1.3) {
-		t.Fatal("promoted before patience expired")
+	if c.Observe(1.0) {
+		t.Fatal("promoted on a calm run")
+	}
+	// Patience consecutive breaches: fires on the last.
+	for i := 0; i < Patience-1; i++ {
+		if c.Observe(1.3) {
+			t.Fatal("promoted before patience expired")
+		}
 	}
 	if !c.Observe(1.3) {
 		t.Fatal("did not promote after patience consecutive breaches")
@@ -31,11 +36,14 @@ func TestControllerPromotesAfterPatience(t *testing.T) {
 // so a symmetric controller would demote and re-promote forever; the
 // ratchet makes the post-promotion signal inert.
 func TestControllerNeverThrashes(t *testing.T) {
-	c := NewController(ControllerConfig{PromoteAbove: 1.2, Patience: 1})
-	if !c.Observe(2.0) {
-		t.Fatal("patience=1 controller did not promote on first breach")
+	c := NewController()
+	for i := 0; i < Patience-1; i++ {
+		c.Observe(2.0)
 	}
-	for _, imb := range []float64{0.9, 1.0, 5.0, 1.0, 3.0} {
+	if !c.Observe(2.0) {
+		t.Fatal("controller did not promote after patience breaches")
+	}
+	for _, imb := range []float64{0.9, 1.0, 5.0, 5.0, 5.0, 1.0, 3.0} {
 		if c.Observe(imb) {
 			t.Fatalf("controller fired again at imbalance %v after promotion", imb)
 		}
@@ -45,20 +53,23 @@ func TestControllerNeverThrashes(t *testing.T) {
 	}
 }
 
-// TestControllerDefaults: the zero config picks the documented
-// defaults and behaves sanely at the threshold boundary.
+// TestControllerDefaults: the documented threshold and patience, and
+// sane behaviour at the threshold boundary.
 func TestControllerDefaults(t *testing.T) {
-	c := NewController(ControllerConfig{})
-	for i := 0; i < DefaultPatience-1; i++ {
-		if c.Observe(DefaultPromoteAbove) {
-			t.Fatalf("promoted after %d runs, patience is %d", i+1, DefaultPatience)
+	if PromoteAbove != 1.25 || Patience != 3 {
+		t.Fatalf("PromoteAbove=%v Patience=%d, documented 1.25 and 3", PromoteAbove, Patience)
+	}
+	c := NewController()
+	for i := 0; i < Patience-1; i++ {
+		if c.Observe(PromoteAbove) {
+			t.Fatalf("promoted after %d runs, patience is %d", i+1, Patience)
 		}
 	}
-	if !c.Observe(DefaultPromoteAbove) {
+	if !c.Observe(PromoteAbove) {
 		t.Fatal("threshold breach at exactly PromoteAbove did not count")
 	}
 	// Balanced work never promotes.
-	c = NewController(ControllerConfig{})
+	c = NewController()
 	for i := 0; i < 100; i++ {
 		if c.Observe(1.0) {
 			t.Fatal("balanced runs promoted")

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -26,9 +27,11 @@ type Entry struct {
 	// a job owns the entry. Acquisition is context-cancellable.
 	lease chan struct{}
 
-	// eng is built on first use under the lease (nil until then).
-	eng  *engine.MultiModeExecutor
-	plan core.Plan
+	// eng is built on first use under the lease (nil until then), and
+	// normX (‖X‖, the CP-ALS fit's reference) with it.
+	eng   *engine.MultiModeExecutor
+	normX float64
+	plan  core.Plan
 	// workers is the stack's currently applied parallelism, owned by
 	// the lease holder like eng. It starts at the plan's value (what
 	// the build uses) and lets each job restore its own resolved count
@@ -255,8 +258,8 @@ func (c *Cache) Get(fp string) (*Entry, bool) {
 }
 
 // Executor returns the entry's multi-mode stack, building all three
-// mode executors on first use and charging the build against the byte
-// budget. The caller must hold the entry's lease.
+// mode executors (and ‖X‖) on first use and charging the build against
+// the byte budget. The caller must hold the entry's lease.
 func (c *Cache) Executor(e *Entry) (*engine.MultiModeExecutor, error) {
 	if e.eng != nil {
 		return e.eng, nil
@@ -266,6 +269,7 @@ func (c *Cache) Executor(e *Entry) (*engine.MultiModeExecutor, error) {
 		return nil, fmt.Errorf("server: building executors for %s: %w", e.fp[:12], err)
 	}
 	e.eng = eng
+	e.normX = math.Sqrt(e.t.NormSquared())
 	delta := eng.MemoryBytes()
 	e.mu.Lock()
 	e.built = true

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"spblock/internal/als"
 	"spblock/internal/cpapr"
 	"spblock/internal/cpd"
 	"spblock/internal/la"
@@ -321,13 +322,21 @@ func (s *Server) runJob(ctx context.Context, entry *Entry, req jobRequest) (*job
 		if err := entry.applyWorkers(req.Workers); err != nil {
 			return nil, err
 		}
-		res, err := cpd.CPALSEngine(entry.Tensor(), eng, cpd.Options{
-			Rank:     req.Rank,
-			MaxIters: req.MaxIters,
-			Tol:      req.Tol,
-			Seed:     req.Seed,
-			Ctx:      ctx,
+		res, err := als.Run(cpd.EngineKernel(eng), als.Config{
+			Rank:      req.Rank,
+			MaxIters:  req.MaxIters,
+			Tol:       req.Tol,
+			Seed:      req.Seed,
+			NormX:     entry.normX,
+			ErrPrefix: "cpd",
+			Ctx:       ctx,
 		})
+		if err != nil {
+			return nil, err
+		}
+		// The mode-0 executor's permutation is the identity, so its
+		// plan is in the caller's orientation.
+		e0, err := eng.Executor(0)
 		if err != nil {
 			return nil, err
 		}
@@ -335,7 +344,7 @@ func (s *Server) runJob(ctx context.Context, entry *Entry, req jobRequest) (*job
 			Iters:     res.Iters,
 			Converged: res.Converged,
 			Fit:       res.Fit(),
-			Plan:      res.Plan.String(),
+			Plan:      e0.Plan().String(),
 		}, nil
 	case "cpapr":
 		res, err := cpapr.Decompose(entry.Tensor(), cpapr.Options{

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"spblock/internal/core"
+	"spblock/internal/cpd"
 	"spblock/internal/gen"
 	"spblock/internal/tensor"
 )
@@ -318,6 +320,44 @@ func TestConcurrentCPALSClientsShareExecutor(t *testing.T) {
 	}
 	if strings.Contains(m, "spblockd_comm_") {
 		t.Errorf("scrape publishes spblockd_comm_ series no job can set:\n%s", m)
+	}
+}
+
+// TestCPALSJobMatchesInProcessCPALS pins that the cached path can
+// stand in for the in-process driver over HTTP: a cpals job's fit is
+// bit for bit cpd.CPALS's on the same tensor, plan, rank and seed, both
+// on the first job (which builds the stack) and on a second job that
+// reuses it from the cache. The reported plan is the cache's.
+func TestCPALSJobMatchesInProcessCPALS(t *testing.T) {
+	plan := core.Plan{Method: core.MethodMBRankB, Grid: [3]int{2, 1, 3}, RankBlockCols: 8, Workers: 2}
+	s, ts, fp := newTestServer(t, Options{Cache: CacheConfig{Plan: plan}})
+	s.cache.mu.Lock()
+	x := s.cache.entries[fp].Tensor()
+	s.cache.mu.Unlock()
+	want, err := cpd.CPALS(x, cpd.Options{Rank: 5, MaxIters: 8, Tol: 1e-12, Seed: 4, Plan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for job := 0; job < 2; job++ {
+		code, jr, raw := postJob(t, ts.URL, "", jobRequest{
+			Fingerprint: fp, Kind: "cpals", Rank: 5, MaxIters: 8, Tol: 1e-12, Seed: 4,
+		})
+		if code != http.StatusOK {
+			t.Fatalf("job %d: status %d: %s", job, code, raw)
+		}
+		if jr.Iters != want.Iters || jr.Converged != want.Converged {
+			t.Fatalf("job %d: iters %d converged %v, want %d %v",
+				job, jr.Iters, jr.Converged, want.Iters, want.Converged)
+		}
+		if math.Float64bits(jr.Fit) != math.Float64bits(want.Fit()) {
+			t.Fatalf("job %d: fit %v, in-process CPALS %v", job, jr.Fit, want.Fit())
+		}
+		if jr.Plan != plan.String() {
+			t.Fatalf("job %d: plan %q, want %q", job, jr.Plan, plan.String())
+		}
+		if got := s.cache.Stats().Builds; got != 1 {
+			t.Fatalf("job %d: %d executor builds, want 1", job, got)
+		}
 	}
 }
 

@@ -25,6 +25,7 @@ package spblock
 import (
 	"io"
 
+	"spblock/internal/als"
 	"spblock/internal/core"
 	"spblock/internal/cpapr"
 	"spblock/internal/cpd"
@@ -93,8 +94,9 @@ type (
 
 	// CPOptions configures a CP-ALS decomposition.
 	CPOptions = cpd.Options
-	// CPResult is a fitted Kruskal tensor.
-	CPResult = cpd.Result
+	// CPResult is a fitted Kruskal tensor, of any order (CPALS,
+	// CPALSN).
+	CPResult = als.Result
 	// APROptions configures a Poisson (KL) nonnegative decomposition.
 	APROptions = cpapr.Options
 	// APRResult is a fitted nonnegative Kruskal tensor.
@@ -104,8 +106,6 @@ type (
 	DistConfig = dist.Config
 	// DistResult reports a distributed execution.
 	DistResult = dist.Result
-	// DistEngine owns a reusable distributed MTTKRP setup.
-	DistEngine = dist.Engine
 	// DistCPOptions configures a distributed CP-ALS decomposition.
 	DistCPOptions = dist.CPOptions
 	// DistCPResult reports a distributed decomposition.
@@ -138,8 +138,6 @@ type (
 	MultiExecutorN = engine.NEngine
 	// CPNOptions configures an order-N CP-ALS decomposition.
 	CPNOptions = cpd.NOptions
-	// CPNResult is a fitted order-N Kruskal tensor.
-	CPNResult = cpd.NResult
 )
 
 // Kernel methods.
@@ -264,12 +262,6 @@ func DistMTTKRP(t *Tensor, b, c *Matrix, cfg DistConfig) (*DistResult, error) {
 	return dist.MTTKRP(t, b, c, cfg)
 }
 
-// NewDistEngine partitions t once for repeated distributed MTTKRP runs
-// at the given rank.
-func NewDistEngine(t *Tensor, rank int, cfg DistConfig) (*DistEngine, error) {
-	return dist.NewEngine(t, rank, cfg)
-}
-
 // DistCPALS runs a full CP-ALS decomposition with every MTTKRP executed
 // on the distributed runtime.
 func DistCPALS(t *Tensor, cfg DistConfig, opts DistCPOptions) (*DistCPResult, error) {
@@ -322,10 +314,7 @@ func NewMultiExecutorN(t *TensorN, opts OptionsN, modes ...int) (*MultiExecutorN
 
 // CPALSN decomposes an order-N tensor with alternating least squares
 // on the unified engine; the sweep loop is shared with CPALS.
-func CPALSN(t *TensorN, opts CPNOptions) (*CPNResult, error) { return cpd.CPALSN(t, opts) }
-
-// Datasets returns the Table II data-set registry names.
-func Datasets() []string { return gen.Names() }
+func CPALSN(t *TensorN, opts CPNOptions) (*CPResult, error) { return cpd.CPALSN(t, opts) }
 
 // LookupDataset fetches a Table II data-set spec by name.
 func LookupDataset(name string) (DatasetSpec, error) { return gen.Lookup(name) }
@@ -335,10 +324,3 @@ func LookupDataset(name string) (DatasetSpec, error) { return gen.Lookup(name) }
 // internal/server): two uploads of the same logical tensor share one
 // cached executor stack.
 func Fingerprint(t *Tensor) string { return server.Fingerprint(t) }
-
-// CPALSEngine decomposes t through a caller-supplied multi-mode
-// engine, reusing its preprocessed per-mode executors instead of
-// building fresh ones — the serving-cache path of spblockd.
-func CPALSEngine(t *Tensor, eng *MultiExecutor, opts CPOptions) (*CPResult, error) {
-	return cpd.CPALSEngine(t, eng, opts)
-}
